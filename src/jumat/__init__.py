@@ -7,11 +7,10 @@ arithmetic, the elementary generators and their group laws, and the
 constructive factorization of any member into its unique reduced word
 times a constant.
 
-Hot kernels run on a compiled backend when the extension is built; a
-pure-Python fallback is selected automatically (see ``jumat.BACKEND``).
+All arithmetic runs in one pure-Python, fraction-free kernel
+(``jumat._core``).
 """
 
-from jumat._core import BACKEND
 from jumat.factor import (
     ConstantJUnitary,
     FactorizationResult,
@@ -54,6 +53,10 @@ from jumat.sampling import SampleConfig, Sampler
 from jumat.scalars import GaussianRational, Rational, format_rational, parse_rational
 
 __version__ = "0.1.0"
+
+# The kernel is pure Python; the name is kept because benchmark records
+# stamp it.
+BACKEND = "python"
 
 __all__ = [
     "BACKEND",

@@ -121,8 +121,13 @@ def _factor_one(path: str, trace: bool, verify: bool, var_override):
 
 
 def _run_batch(worker, paths, jobs):
-    """Run a per-file worker, serially or in a process pool; emit in order."""
-    if jobs and jobs > 1 and len(paths) > 1:
+    """Run a per-file worker, serially or in a process pool; emit in order.
+
+    The pool starts all its workers up front, so it gets no more of them
+    than there are files or CPUs.
+    """
+    jobs = min(jobs, len(paths), os.cpu_count() or 1)
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(worker, paths))
     else:
@@ -306,6 +311,16 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_NEGATIVE
 
 
+def _job_count(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jumat",
@@ -328,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="*", default=["-"])
     p.add_argument("--normalized", action="store_true",
                    help="additionally require U(0) = I")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("factor", help="factor a member into its reduced word")
@@ -337,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include every reduction step in the output")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the final reconstruction comparison")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1)
     add_var(p)
     p.set_defaults(func=_cmd_factor)
 

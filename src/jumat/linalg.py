@@ -12,7 +12,8 @@ or the first row (matrices).
 
 from __future__ import annotations
 
-from jumat.scalars import GaussianRational
+from jumat import _core
+from jumat.scalars import GaussianRational, _unwrap_matrix, _wrap_matrix
 
 _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
@@ -20,10 +21,6 @@ _ONE = GaussianRational(1)
 
 def as_vector(entries) -> tuple:
     return tuple(GaussianRational(x) for x in entries)
-
-
-def as_matrix(rows) -> tuple:
-    return tuple(tuple(GaussianRational(x) for x in row) for row in rows)
 
 
 def zero_vector(n: int) -> tuple:
@@ -109,18 +106,9 @@ def mat_scale(c, m):
 
 
 def mat_mul(a, b):
-    if len(a[0]) != len(b):
-        raise ValueError("dimension mismatch in matrix product")
-    bt = tuple(zip(*b))
-    out = []
-    for row in a:
-        out.append(
-            tuple(
-                sum((x * y for x, y in zip(row, col) if x and y), _ZERO)
-                for col in bt
-            )
-        )
-    return tuple(out)
+    """Product of constant matrices, as one-coefficient kernel polynomials."""
+    raw = _core.matpoly_mul((_unwrap_matrix(a),), (_unwrap_matrix(b),))
+    return _wrap_matrix(raw[0]) if raw else zero_matrix(len(a), len(b[0]))
 
 
 def star_matrix(m):
@@ -229,24 +217,16 @@ def nullspace(m) -> list:
 
 
 def inverse(m) -> tuple:
-    """Exact inverse via Gauss-Jordan elimination; raises on singular input."""
+    """Exact inverse: the right half of the reduced form of [M | I].
+
+    M is invertible exactly when the pivots land in its own columns.
+    """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse requires a square matrix")
-    aug = [list(row) + [_ONE if i == j else _ZERO for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if aug[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv_p = _ONE / aug[col][col]
-        aug[col] = [inv_p * x for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    rows, pivots = _rref(
+        tuple(row) + eye_row for row, eye_row in zip(m, identity_matrix(n))
+    )
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return tuple(row[n:] for row in rows)

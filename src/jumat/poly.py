@@ -6,15 +6,15 @@ touches powers.  Coefficient lists are stored densely in ascending powers
 with trailing zeros trimmed; the zero polynomial has degree ``NEG_INF``.
 
 Matrix polynomial coefficients are held in the kernel's raw triple
-encoding so that products run entirely inside the selected backend;
-code outside this module only ever sees GaussianRational entries.
+encoding so that products run entirely inside the kernel; code outside
+this module only ever sees GaussianRational entries.
 """
 
 from __future__ import annotations
 
 from jumat import _core
 from jumat.linalg import zero_matrix, zero_vector
-from jumat.scalars import GaussianRational
+from jumat.scalars import GaussianRational, _unwrap_matrix, _wrap_matrix
 
 NEG_INF = float("-inf")
 
@@ -201,16 +201,6 @@ class VectorPoly:
 
     def __repr__(self):
         return f"VectorPoly(nu={self.nu}, degree={self.degree})"
-
-
-def _unwrap_matrix(rows):
-    return tuple(tuple(GaussianRational(x)._t for x in row) for row in rows)
-
-
-def _wrap_matrix(raw):
-    return tuple(
-        tuple(GaussianRational._wrap(t) for t in row) for row in raw
-    )
 
 
 class MatrixPolynomial:

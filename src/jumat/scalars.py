@@ -33,9 +33,9 @@ def format_rational(value: Fraction) -> str:
 class GaussianRational:
     """Complex number with exact rational real and imaginary parts.
 
-    Values are immutable.  Arithmetic is delegated to the selected kernel
-    backend, which stores each value as a canonical integer triple
-    ``(p, q, r)`` meaning ``(p + q*i) / r``.
+    Values are immutable.  Each value holds the kernel's canonical integer
+    triple ``(p, q, r)`` meaning ``(p + q*i) / r``, and arithmetic is
+    delegated to the kernel (``jumat._core``).
 
     ``int`` and ``Fraction`` operands are coerced, so mixed expressions
     like ``1 - x`` or ``x / 2`` work and stay exact.
@@ -172,3 +172,13 @@ class GaussianRational:
         if not re_part:
             return im_part
         return re_part + ("+" if im > 0 else "") + im_part
+
+
+def _unwrap_matrix(rows):
+    """Kernel form of a constant matrix: row tuples of canonical triples."""
+    return tuple(tuple(GaussianRational(x)._t for x in row) for row in rows)
+
+
+def _wrap_matrix(raw):
+    """GaussianRational form of a kernel matrix."""
+    return tuple(tuple(GaussianRational._wrap(t) for t in row) for row in raw)

@@ -1,13 +1,18 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from jumat import Mode, SampleConfig, Sampler, build_generator, phase_params
+from jumat import cli
 from jumat import io as jio
 from jumat.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +212,39 @@ def test_check_jobs_batch(capsys, tmp_path, word_path):
     assert out.count('"kind": "report"') == 3
 
 
+def test_jobs_are_bounded_by_files_and_cpus(capsys, monkeypatch, tmp_path, word_path):
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    _, out, _ = run_cli(capsys, "mul", word_path)
+    paths = [write_doc(tmp_path, f"m{i}.json", out) for i in range(6)]
+    for jobs, files, want in (("500", 2, [2]), ("500", 6, [4]), ("3", 6, [3]),
+                              ("500", 1, []), ("1", 6, [])):
+        pools.clear()
+        code, out, _ = run_cli(capsys, "check", "--jobs", jobs, *paths[:files])
+        assert code == 0 and out.count('"kind": "report"') == files
+        assert pools == want
+    for jobs in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--jobs", jobs, paths[0]])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
 def test_check_normalized_flag(capsys, tmp_path):
     # diag(-1, 1, 1) is a member of the full group but not normalized.
     doc = {
@@ -246,3 +284,22 @@ def test_module_entrypoint_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "word"
+
+
+def test_guards_hold_without_asserts(capsys, tmp_path, word_path):
+    _, out, _ = run_cli(capsys, "mul", word_path)
+    member = write_doc(tmp_path, "member.json", out)
+    doc = json.loads(out)
+    doc["coeffs"][1][0][1]["re"] = "999/1000"
+    perturbed = write_doc(tmp_path, "perturbed.json", jio.dumps(doc))
+    paths = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    for args, want in ((["selftest", "--seed", "3"], 0),
+                       (["factor", member], 0),
+                       (["factor", perturbed], 1)):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "jumat", *args],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == want, (args, proc.stderr)
+        assert "Traceback" not in proc.stderr

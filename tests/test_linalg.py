@@ -17,6 +17,7 @@ from jumat.linalg import (
     parallel_coefficient,
     real_parallel_coefficient,
     scale_vec,
+    zero_matrix,
 )
 from tests.conftest import rand_scalar, rand_vector
 
@@ -105,6 +106,23 @@ def test_inverse_roundtrip(rng):
             continue  # singular draw
         assert mat_mul(m, minv) == identity_matrix(3)
         assert mat_mul(minv, m) == identity_matrix(3)
+
+
+def test_mat_mul_matches_entrywise_sums(rng):
+    for _ in range(20):
+        a = tuple(rand_vector(rng, 2) for _ in range(3))
+        b = tuple(rand_vector(rng, 4) for _ in range(2))
+        want = tuple(
+            tuple(sum((a[i][t] * b[t][j] for t in range(2)), GR(0)) for j in range(4))
+            for i in range(3)
+        )
+        assert mat_mul(a, b) == want
+    # A product that cancels to zero keeps its rows x cols shape.
+    ones = tuple(as_vector([1, 1]) for _ in range(3))
+    kernel = (as_vector([1, 1, 1, 1]), as_vector([-1, -1, -1, -1]))
+    assert mat_mul(ones, kernel) == zero_matrix(3, 4)
+    with pytest.raises(ValueError):
+        mat_mul(ones, ones)
 
 
 def test_inverse_rejects_singular():

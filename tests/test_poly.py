@@ -12,6 +12,7 @@ from jumat import (
     VectorPoly,
     word_to_matrix,
 )
+from jumat import _core
 from jumat.linalg import identity_matrix, metric_matrix, zero_matrix
 from tests.conftest import rand_scalar
 
@@ -73,6 +74,26 @@ def test_hand_convolution_example():
         ],
     )
     assert product == expected
+
+    # (1 - w)(1 + w) = 1 - w^2: the middle power cancels inside the product.
+    one_minus = MatrixPolynomial(1, 1, [((GR(1),),), ((GR(-1),),)])
+    one_plus = MatrixPolynomial(1, 1, [((GR(1),),), ((GR(1),),)])
+    assert one_minus * one_plus == MatrixPolynomial(
+        1, 1, [((GR(1),),), ((GR(0),),), ((GR(-1),),)]
+    )
+    # (I + Nw)(I - Nw) = I for nilpotent N: the top powers cancel and are trimmed.
+    nil = ((GR(0), GR(1)), (GR(0), GR(0)))
+    neg_nil = ((GR(0), GR(-1)), (GR(0), GR(0)))
+    eye = identity_matrix(2)
+    square = MatrixPolynomial(2, 2, [eye, nil]) * MatrixPolynomial(
+        2, 2, [eye, neg_nil]
+    )
+    assert square == MatrixPolynomial.identity(2) and square.degree == 0
+    # A zero coefficient list, trimmed or not, gives the empty product.
+    zero_coeff = (((_core.ZERO,),),)
+    assert _core.matpoly_mul(zero_coeff, one_plus._c) == ()
+    assert _core.matpoly_mul((), one_plus._c) == ()
+    assert _core.matpoly_mul(one_plus._c, ()) == ()
 
 
 def test_star_examples():
@@ -155,6 +176,8 @@ def test_dimension_mismatch_raises(rng):
     b = rand_matrix_poly(rng, 2, 2, 1)
     with pytest.raises(ValueError):
         a * b
+    with pytest.raises(ValueError):
+        _core.matpoly_mul(a._c, b._c)
 
 
 def test_vector_poly_hermitian_product():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from jumat import GaussianRational, format_rational, parse_rational
+from jumat import GaussianRational, _core, format_rational, parse_rational
 from tests.conftest import rand_scalar
 
 GR = GaussianRational
@@ -64,6 +64,9 @@ def test_canonical_form_is_structural():
     assert a == b
     assert hash(a) == hash(b)
     assert a._t == b._t
+    # A negative denominator moves its sign to the numerator, and the
+    # common factor of all three integers is divided out.
+    assert _core.canon(4, -6, -8) == (-2, 3, 4) == GR(-HALF, Fraction(3, 4))._t
 
 
 def test_real_values_hash_like_fractions():
@@ -78,6 +81,8 @@ def test_division_by_zero():
         GR(1) / GR(0)
     with pytest.raises(ZeroDivisionError):
         1 / GR(0)
+    with pytest.raises(ZeroDivisionError):
+        _core.canon(1, 1, 0)
 
 
 def test_int_and_fraction_coercion():
