@@ -43,12 +43,12 @@ EXIT_USAGE = 2
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
 
 
@@ -87,7 +87,7 @@ def _check_one(path: str, require_normalized: bool):
         raise DocumentError("check expects a matrix document")
     m = doc.payload
     member = is_j_unitary(m)
-    normalized = member and m(0) == identity_matrix(doc.nu)
+    normalized = member and m.coefficient(0) == identity_matrix(doc.nu)
     report = {
         "member": member,
         "normalized": normalized,
@@ -311,14 +311,19 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_NEGATIVE
 
 
-def _job_count(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+def _int_at_least(lo: int):
+    """An argparse type: an integer no smaller than ``lo``, else exit 2."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="*", default=["-"])
     p.add_argument("--normalized", action="store_true",
                    help="additionally require U(0) = I")
-    p.add_argument("--jobs", type=_job_count, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("factor", help="factor a member into its reduced word")
@@ -352,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include every reduction step in the output")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the final reconstruction comparison")
-    p.add_argument("--jobs", type=_job_count, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     add_var(p)
     p.set_defaults(func=_cmd_factor)
 
@@ -379,12 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rand", help="emit a seeded random document")
     p.add_argument("--kind", choices=("word", "matrix", "upsilon"), default="word")
-    p.add_argument("--nu", type=int, required=True)
+    p.add_argument("--nu", type=_int_at_least(2), required=True)
     p.add_argument("--mode", choices=[m.value for m in Mode], default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--factors", type=int, default=4)
-    p.add_argument("--max-degree", type=int, default=3)
-    p.add_argument("--height", type=int, default=40)
+    p.add_argument("--factors", type=_int_at_least(0), default=4)
+    p.add_argument("--max-degree", type=_int_at_least(0), default=3)
+    p.add_argument("--height", type=_int_at_least(1), default=40)
     p.add_argument(
         "--var", choices=jio.VARIABLES, default="omega",
         help="variable convention for the output document",
@@ -393,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run a condensed exactness suite")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--count", type=_int_at_least(1), default=5)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

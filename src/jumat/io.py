@@ -101,6 +101,8 @@ def parse_document(data) -> Document:
             data = json.loads(data)
         except json.JSONDecodeError as exc:
             raise _fail(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise _fail("invalid JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise _fail("document must be a JSON object")
     kind = data.get("kind")

@@ -152,17 +152,6 @@ def parallel_coefficient(a, b):
     return c
 
 
-def real_parallel_coefficient(a, b):
-    """Like parallel_coefficient but requires the coefficient to be real.
-
-    Agrees with the dyadic symmetry test a.b* == b.a* whenever a != 0.
-    """
-    c = parallel_coefficient(a, b)
-    if c is None or not c.is_real():
-        return None
-    return c
-
-
 def matrix_parallel_coefficient(a, b):
     """The scalar c with matrix b = c * matrix a, or None."""
     flat_a = tuple(x for row in a for x in row)

@@ -31,6 +31,16 @@ def scalar(re, im=0):
     return {"re": str(Fraction(re)), "im": str(Fraction(im))}
 
 
+def run_module(*argv, flags=()):
+    """Run ``python -m jumat`` in a fresh interpreter with this checkout's src."""
+    paths = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "jumat", *argv],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+
+
 @pytest.fixture
 def word_path(tmp_path):
     sampler = Sampler(SampleConfig(nu=3, seed=301))
@@ -95,6 +105,33 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert code == 2 and "error" in err
     code, _, err = run_cli(capsys, "check", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def test_undecodable_documents_exit_2_without_traceback(tmp_path):
+    nested = tmp_path / "nested.json"
+    nested.write_text('{"kind": "matrix", "nu": 2, "coeffs": '
+                      + "[" * 50_000 + "]" * 50_000 + "}")
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'{"kind": "matrix", "nu": 2, "coeffs": [], "x": "\xe9"}')
+    for path in (nested, not_utf8):
+        for command in ("check", "factor"):
+            proc = run_module(command, str(path))
+            assert proc.returncode == 2, (command, path.name, proc.stderr)
+            assert "Traceback" not in proc.stderr and "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["rand", "--nu", "1"],
+    ["rand", "--nu", "3", "--height", "0"],
+    ["rand", "--nu", "3", "--factors", "-1"],
+    ["rand", "--nu", "3", "--max-degree", "-1"],
+    ["selftest", "--count", "0"],
+])
+def test_numeric_arguments_below_their_bound_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}" in capsys.readouterr().err
 
 
 def test_inv_matrix_and_word(capsys, tmp_path, word_path):
@@ -277,11 +314,7 @@ def test_selftest(capsys):
 
 
 def test_module_entrypoint_smoke():
-    proc = subprocess.run(
-        [sys.executable, "-m", "jumat", "rand", "--kind", "word", "--nu", "2",
-         "--seed", "1"],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_module("rand", "--kind", "word", "--nu", "2", "--seed", "1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "word"
 
@@ -292,14 +325,9 @@ def test_guards_hold_without_asserts(capsys, tmp_path, word_path):
     doc = json.loads(out)
     doc["coeffs"][1][0][1]["re"] = "999/1000"
     perturbed = write_doc(tmp_path, "perturbed.json", jio.dumps(doc))
-    paths = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     for args, want in ((["selftest", "--seed", "3"], 0),
                        (["factor", member], 0),
                        (["factor", perturbed], 1)):
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "jumat", *args],
-            capture_output=True, text=True, timeout=120, env=env,
-        )
+        proc = run_module(*args, flags=("-O",))
         assert proc.returncode == want, (args, proc.stderr)
         assert "Traceback" not in proc.stderr

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -304,6 +305,60 @@ def test_factor_rejects_perturbed_member():
     assert not is_j_unitary(perturbed)
     with pytest.raises(NotInGroupError):
         factor(perturbed)
+
+
+def _perturb(u, mode, rng):
+    """Add delta to one entry (i, j) of one coefficient k of a member.
+
+    Entry (i, i) of U.D.U* at power 2k then changes by
+    d_j (2 Re(conj(a) delta) + |delta|^2), with a the old entry and d_j the
+    metric sign, and by nothing else; doubling delta makes that nonzero when
+    it is not.  delta is real, or imaginary at odd powers in real_lambda, so
+    the mode still holds and only the group structure can reject.
+    """
+    mats = [list(map(list, u.coefficient(k))) for k in range(max(u.degree, 0) + 1)]
+    k = rng.randrange(len(mats))
+    i = rng.randrange(u.rows)
+    j = rng.randrange(u.rows)
+    delta = GR(rng.choice((-1, 1)))
+    if mode is Mode.REAL_LAMBDA and k % 2:
+        delta = delta * GR(0, 1)
+    a = mats[k][i][j]
+    if not ((a.conjugate() * delta).re * 2 + delta.abs2()):
+        delta = delta * 2
+    mats[k][i][j] = a + delta
+    return MatrixPolynomial(u.rows, u.rows, mats)
+
+
+def test_perturbed_members_are_rejected_inside_the_reduction():
+    # factor proves membership only by reducing to I, so every stage after
+    # the constant split has to reject what it cannot reduce.
+    rng = random.Random(419)
+    in_loop = 0
+    for nu in (2, 3, 4):
+        for mode in Mode:
+            sampler = Sampler(SampleConfig(nu=nu, mode=mode, max_factors=3, seed=nu))
+            for with_tail in (False, True):
+                for _ in range(4):
+                    u = word_to_matrix(sampler.word())
+                    if with_tail:
+                        u = u * sampler.constant_unitary().as_matrix_poly()
+                    bad = _perturb(u, mode, rng)
+                    assert not is_j_unitary(bad)
+                    for verify in (False, True):
+                        with pytest.raises(NotInGroupError) as exc:
+                            factor(bad, mode=mode, verify=verify)
+                        assert type(exc.value) is NotInGroupError
+                    try:
+                        current, _ = split_constant(bad)
+                    except NotInGroupError:
+                        continue
+                    try:
+                        while current.degree > 0:
+                            current, _ = reduce_once(current, mode)
+                    except NotInGroupError:
+                        in_loop += 1
+    assert in_loop > 0
 
 
 def test_factor_rejects_mode_mismatch():

@@ -132,14 +132,16 @@ def test_tangent_generator_3x3_closed_form():
 
 def test_generators_satisfy_metric_identity_in_every_mode():
     from jumat import is_j_unitary
-    from jumat.linalg import identity_matrix
+    from jumat.linalg import identity_matrix, metric_matrix
 
+    d = MatrixPolynomial.constant(metric_matrix(3))
     for mode in Mode:
         sampler = Sampler(SampleConfig(nu=3, mode=mode, seed=13))
         for _ in range(200):
             p = sampler.member()
             m = build_generator(p)
-            assert is_j_unitary(m)  # includes the two-sided cross-check
+            assert is_j_unitary(m)
+            assert m.star().metric_right() * m == d  # the two-sided identity
             assert m(0) == identity_matrix(3)
 
 

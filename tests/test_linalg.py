@@ -8,14 +8,12 @@ from jumat.linalg import (
     hdot,
     identity_matrix,
     inverse,
-    is_zero_vector,
     mat_mul,
     matvec,
     metric_vec,
     nullspace,
     outer,
     parallel_coefficient,
-    real_parallel_coefficient,
     scale_vec,
     zero_matrix,
 )
@@ -46,7 +44,6 @@ def test_parallel_examples():
     a = as_vector([GR(1), GR(0, 1)])
     b = as_vector([GR(0, 1), GR(-1)])
     assert parallel_coefficient(a, b) == GR(0, 1)
-    assert real_parallel_coefficient(a, b) is None
 
 
 def test_parallel_zero_vector_convention():
@@ -67,22 +64,6 @@ def test_cone_pairing_vanishes_exactly_on_parallel_pairs(rng):
         parallel = parallel_coefficient(a, b) is not None
         assert vanishes == parallel
         assert parallel == (z1 == z2)
-
-
-def test_dyadic_symmetry_matches_real_parallel(rng):
-    for _ in range(80):
-        a = rand_vector(rng, 3)
-        if is_zero_vector(a):
-            continue
-        choice = rng.randint(0, 2)
-        if choice == 0:
-            b = scale_vec(GR(rand_scalar(rng).re), a)  # real multiple
-        elif choice == 1:
-            b = scale_vec(rand_scalar(rng), a)  # complex multiple
-        else:
-            b = rand_vector(rng, 3)
-        symmetric = outer(a, b) == outer(b, a)
-        assert symmetric == (real_parallel_coefficient(a, b) is not None)
 
 
 def test_nullspace_dimension_and_membership(rng):
